@@ -7,9 +7,7 @@
 //
 // The sink/_into entry points are the streaming data path: they append
 // into caller-provided buffers (typically pooled scratch or the final
-// blob) so chained stages never materialize intermediate vectors. New
-// codec code must use these; the Bytes-returning forms are
-// compatibility wrappers.
+// blob) so chained stages never materialize intermediate vectors.
 
 #include <cstdint>
 #include <span>
@@ -33,18 +31,10 @@ std::string to_string(LosslessBackend backend);
 void lossless_compress(std::span<const std::uint8_t> raw,
                        LosslessBackend backend, ByteSink& out);
 
-/// Convenience wrapper returning a fresh buffer.
-[[deprecated("use lossless_compress(raw, backend, sink)")]] Bytes
-lossless_compress(std::span<const std::uint8_t> raw, LosslessBackend backend);
-
 /// Inverts lossless_compress into `out` (cleared first; capacity is
 /// reused), dispatching on the embedded backend id.
 /// Throws CorruptStream on malformed input.
 void lossless_decompress_into(std::span<const std::uint8_t> compressed,
                               Bytes& out);
-
-/// Convenience wrapper returning a fresh buffer.
-[[deprecated("use lossless_decompress_into(compressed, out)")]] Bytes
-lossless_decompress(std::span<const std::uint8_t> compressed);
 
 }  // namespace ocelot

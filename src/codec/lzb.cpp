@@ -184,12 +184,6 @@ void lzb_compress(std::span<const std::uint8_t> raw, ByteSink& sink) {
   compress_core(raw, out, EpochTable{ScratchArena::current()});
 }
 
-Bytes lzb_compress(std::span<const std::uint8_t> raw) {
-  BytesWriter out;
-  lzb_compress(raw, out);
-  return out.take();
-}
-
 void lzb_decompress_into(std::span<const std::uint8_t> compressed,
                          Bytes& out) {
   out.clear();
@@ -217,12 +211,6 @@ void lzb_decompress_into(std::span<const std::uint8_t> compressed,
     std::size_t src = out.size() - offset;
     for (std::size_t i = 0; i < match_len; ++i) out.push_back(out[src + i]);
   }
-}
-
-Bytes lzb_decompress(std::span<const std::uint8_t> compressed) {
-  Bytes out;
-  lzb_decompress_into(compressed, out);
-  return out;
 }
 
 }  // namespace ocelot

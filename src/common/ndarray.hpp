@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -28,10 +29,12 @@ class Shape {
   }
   Shape(std::size_t n0, std::size_t n1) : dims_{n0, n1, 1}, rank_(2) {
     require(n0 > 0 && n1 > 0, "Shape: zero dimension");
+    require_size_fits();
   }
   Shape(std::size_t n0, std::size_t n1, std::size_t n2)
       : dims_{n0, n1, n2}, rank_(3) {
     require(n0 > 0 && n1 > 0 && n2 > 0, "Shape: zero dimension");
+    require_size_fits();
   }
 
   [[nodiscard]] int rank() const { return rank_; }
@@ -45,6 +48,15 @@ class Shape {
   }
 
  private:
+  /// Rejects dims whose element count wraps size_t (shapes parsed from
+  /// wire varints can claim anything), so size() is always exact.
+  void require_size_fits() const {
+    const std::size_t max = std::numeric_limits<std::size_t>::max();
+    require(dims_[1] <= max / dims_[0] &&
+                dims_[2] <= max / (dims_[0] * dims_[1]),
+            "Shape: element count overflows size_t");
+  }
+
   std::array<std::size_t, 3> dims_;
   int rank_;
 };

@@ -55,13 +55,13 @@ class MultigridBackend final : public TypedBackend<MultigridBackend> {
     const auto coarse_hist = coarse.hist_view(scope.arena());
     const auto fine_hist = fine.hist_view(scope.arena());
     out.add_streamed("mg_coarse_codes", [&](ByteSink& sink) {
-      pack_codes_hist(coarse.codes_view(), coarse_hist, config, sink);
+      pack_codes(coarse.codes_view(), coarse_hist, config, sink);
     });
     out.add_streamed("mg_coarse_raw", [&](ByteSink& sink) {
       pack_raw_values(coarse.raw_view(), config.lossless, sink);
     });
     out.add_streamed("codes", [&](ByteSink& sink) {
-      pack_codes_hist(fine.codes_view(), fine_hist, config, sink);
+      pack_codes(fine.codes_view(), fine_hist, config, sink);
     });
     out.add_streamed("raw", [&](ByteSink& sink) {
       pack_raw_values(fine.raw_view(), config.lossless, sink);

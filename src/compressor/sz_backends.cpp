@@ -52,7 +52,7 @@ void quantized_encode(const NdArray<T>& data, double abs_eb,
   OCELOT_COUNT("codec.raw_bytes", data.size() * sizeof(T));
   const auto hist = quant.hist_view(scope.arena());
   out.add_streamed("codes", [&](ByteSink& sink) {
-    pack_codes_hist(quant.codes_view(), hist, config, sink);
+    pack_codes(quant.codes_view(), hist, config, sink);
   });
   out.add_streamed("raw", [&](ByteSink& sink) {
     pack_raw_values(quant.raw_view(), config.lossless, sink);
@@ -320,13 +320,13 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
       lossless_compress(choices.first(n_choices), config.lossless, sink);
     });
     out.add_streamed("coef_codes", [&](ByteSink& sink) {
-      pack_codes_hist(coef_quant.codes_view(), coef_hist, config, sink);
+      pack_codes(coef_quant.codes_view(), coef_hist, config, sink);
     });
     out.add_streamed("coef_raw", [&](ByteSink& sink) {
       pack_raw_values(coef_quant.raw_view(), config.lossless, sink);
     });
     out.add_streamed("codes", [&](ByteSink& sink) {
-      pack_codes_hist(quant.codes_view(), hist, config, sink);
+      pack_codes(quant.codes_view(), hist, config, sink);
     });
     out.add_streamed("raw", [&](ByteSink& sink) {
       pack_raw_values(quant.raw_view(), config.lossless, sink);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "codec/entropy.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "compressor/compressor.hpp"
@@ -236,6 +237,7 @@ BlockContainerInfo read_block_index(
     if (info.has_backend_ids) entry.backend_id = in.get<std::uint8_t>();
     if (info.has_entropy_ids) {
       entry.entropy_id = in.get<std::uint8_t>();
+      reject_retired_entropy_id(entry.entropy_id);
     } else if (entry.backend_id != kUnknownBackendId) {
       // A v1.1 index only ever described OCZ1 payloads, whose entropy
       // stage is the implicit legacy chain.

@@ -54,8 +54,11 @@ struct CampaignOutcome {
   double finish_time = 0.0;     ///< absolute virtual completion time
   int priority = 0;
   CampaignReport report;        ///< durations relative to submit_time
-  /// Actual wire time divided by the uncontended estimate; 1.0 means
-  /// the campaign never shared its route.
+  /// Actual wire time divided by the uncontended estimate; near 1.0
+  /// means the campaign never shared its route. Both times are
+  /// differences of absolute sim times, so an uncontended campaign can
+  /// read a rounding error below 1 (~1e-12 near t = 24000 s) rather
+  /// than exactly 1.0; compare with a tolerance, not ==.
   double transfer_stretch = 1.0;
 };
 

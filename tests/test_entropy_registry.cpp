@@ -1,5 +1,5 @@
 // Entropy-stage registry and coder tests: registry semantics, per-stage
-// round-trip properties over codes and bytes, packed-section dispatch,
+// round-trip properties, packed-section dispatch, retired wire ids,
 // and corrupt-stream rejection. The container/advisor integration of
 // the stages is exercised further down in this file once the compressor
 // plumbing is involved.
@@ -8,22 +8,24 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/ans.hpp"
-#include "codec/bwt_mtf.hpp"
 #include "codec/entropy.hpp"
 #include "codec/huffman.hpp"
 #include "codec/lossless.hpp"
-#include "codec/lzw.hpp"
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/options.hpp"
 #include "common/ndarray.hpp"
 #include "common/rng.hpp"
 #include "compressor/compressor.hpp"
 #include "core/adaptive.hpp"
+#include "core/engine.hpp"
 #include "exec/parallel_codec.hpp"
 #include "io/block_container.hpp"
 
@@ -56,7 +58,7 @@ std::vector<std::vector<std::uint32_t>> code_corpus() {
   }
   corpus.push_back(std::move(wide));
 
-  // Small alphabet with runs (MTF/RLE-friendly).
+  // Small alphabet with runs (RLE-friendly).
   std::vector<std::uint32_t> runs;
   for (int r = 0; r < 200; ++r) {
     runs.insert(runs.end(), 37, static_cast<std::uint32_t>(r % 5));
@@ -65,45 +67,13 @@ std::vector<std::vector<std::uint32_t>> code_corpus() {
   return corpus;
 }
 
-std::vector<Bytes> byte_corpus() {
-  std::vector<Bytes> corpus;
-  corpus.push_back({});
-  corpus.push_back({0x00});
-  corpus.push_back({0xFF});
-  corpus.push_back(Bytes(70000, 0x42));  // constant run across BWT chunks
-  Bytes all_values(256);
-  for (std::size_t i = 0; i < 256; ++i) {
-    all_values[i] = static_cast<std::uint8_t>(i);
-  }
-  corpus.push_back(std::move(all_values));
-  Bytes text;
-  while (text.size() < 150000) {  // > 2 BWT chunks, repetitive
-    const std::string phrase = "the quick brown fox jumps over the lazy dog ";
-    text.insert(text.end(), phrase.begin(), phrase.end());
-  }
-  corpus.push_back(std::move(text));
-  for (const std::size_t n : {2u, 255u, 4096u, 65536u, 65537u, 131073u}) {
-    Rng rng(0xB17E5 + n);
-    Bytes random(n);
-    for (auto& b : random) {
-      b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    corpus.push_back(std::move(random));
-  }
-  return corpus;
-}
-
 TEST(EntropyRegistry, ListsBuiltInStagesInWireIdOrder) {
   const auto stages = EntropyRegistry::instance().list();
-  ASSERT_GE(stages.size(), 4u);
+  ASSERT_GE(stages.size(), 2u);
   EXPECT_EQ(stages[0]->name(), "huffman");
   EXPECT_EQ(stages[0]->wire_id(), kEntropyHuffmanId);
   EXPECT_EQ(stages[1]->name(), "ans");
   EXPECT_EQ(stages[1]->wire_id(), kEntropyAnsId);
-  EXPECT_EQ(stages[2]->name(), "bwt-mtf");
-  EXPECT_EQ(stages[2]->wire_id(), kEntropyBwtId);
-  EXPECT_EQ(stages[3]->name(), "lzw");
-  EXPECT_EQ(stages[3]->wire_id(), kEntropyLzwId);
   for (std::size_t i = 1; i < stages.size(); ++i) {
     EXPECT_LT(stages[i - 1]->wire_id(), stages[i]->wire_id());
   }
@@ -123,11 +93,53 @@ TEST(EntropyRegistry, ByNameAndByIdAgree) {
   EXPECT_EQ(reg.find_by_id(200), nullptr);
 }
 
+/// Minimal stage with a chosen wire id, for registration checks.
+class StubStage final : public EntropyStage {
+ public:
+  StubStage(std::string name, std::uint8_t id)
+      : name_(std::move(name)), id_(id) {}
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::uint8_t wire_id() const override { return id_; }
+  [[nodiscard]] std::string description() const override { return "stub"; }
+  void encode_into(std::span<const std::uint32_t>, LosslessBackend,
+                   std::span<const std::pair<std::uint32_t, std::uint64_t>>,
+                   ByteSink&) const override {}
+  void decode_into(std::span<const std::uint8_t>,
+                   std::vector<std::uint32_t>&) const override {}
+
+ private:
+  std::string name_;
+  std::uint8_t id_;
+};
+
 TEST(EntropyRegistry, RejectsReservedAndDuplicateRegistrations) {
   auto& reg = EntropyRegistry::instance();
   EXPECT_THROW(reg.add(nullptr), InvalidArgument);
   // Same name and wire id as the built-in "ans" stage.
   EXPECT_THROW(reg.add(make_ans_stage()), InvalidArgument);
+  // Legacy lossless-chain ids and retired stage ids are never handed out.
+  EXPECT_THROW(reg.add(std::make_unique<StubStage>("stub1", 1)),
+               InvalidArgument);
+  EXPECT_THROW(reg.add(std::make_unique<StubStage>("stub4", kRetiredBwtMtfId)),
+               InvalidArgument);
+  EXPECT_THROW(reg.add(std::make_unique<StubStage>("stub5", kRetiredLzwId)),
+               InvalidArgument);
+  EXPECT_EQ(reg.find("stub4"), nullptr);
+  EXPECT_EQ(reg.find_by_id(kRetiredBwtMtfId), nullptr);
+}
+
+TEST(EntropyRegistry, RetiredStageNamesAreUnknownToWriters) {
+  try {
+    CompressionConfig config;
+    config.entropy = "bwt-mtf";
+    (void)compress(FloatArray(Shape(8, 8)), config);
+    FAIL() << "entropy=bwt-mtf must be rejected";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(registered: huffman ans"), std::string::npos) << what;
+  }
+  OptionSet options = OptionSet::from_line("entropy=lzw", "compress");
+  EXPECT_THROW((void)parse_compression_options(options, {}), InvalidArgument);
 }
 
 TEST(EntropyStage, CodeRoundTripPerStage) {
@@ -135,23 +147,10 @@ TEST(EntropyStage, CodeRoundTripPerStage) {
     for (const auto& codes : code_corpus()) {
       Bytes buf;
       ByteSink sink(buf);
-      stage->encode_into(codes, sink);
+      stage->encode_into(codes, LosslessBackend::kLzb, {}, sink);
       std::vector<std::uint32_t> back;
       stage->decode_into(buf, back);
       EXPECT_EQ(back, codes) << stage->name() << " n=" << codes.size();
-    }
-  }
-}
-
-TEST(EntropyStage, ByteRoundTripPerStage) {
-  for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
-    for (const auto& raw : byte_corpus()) {
-      Bytes buf;
-      ByteSink sink(buf);
-      stage->encode_bytes_into(raw, sink);
-      Bytes back;
-      stage->decode_bytes_into(buf, back);
-      EXPECT_EQ(back, raw) << stage->name() << " n=" << raw.size();
     }
   }
 }
@@ -173,6 +172,15 @@ TEST(EntropyStage, PackedSectionDispatchRoundTrips) {
       std::vector<std::uint32_t> back;
       entropy_decode_codes_into(buf, back);
       EXPECT_EQ(back, codes) << stage->name();
+
+      // A caller-supplied histogram changes no byte.
+      if (codes.empty()) continue;
+      const SymbolHist hist = histogram_symbols(codes);
+      Bytes with_hist;
+      ByteSink hist_sink(with_hist);
+      entropy_encode_codes(codes, *stage, LosslessBackend::kLzb, hist_sink,
+                           hist);
+      EXPECT_EQ(with_hist, buf) << stage->name();
     }
   }
 }
@@ -244,16 +252,36 @@ TEST(EntropyStage, RejectsCorruptStreams) {
     }
   }
 
-  // LZW code beyond the dictionary.
-  {
-    Bytes buf;
-    ByteSink sink(buf);
-    sink.put_varint(4);
-    // 8-bit literal 'a', then a 9-bit code 300 (> next == 256).
-    sink.put('a');  // not a valid bitstream framing on purpose
-    Bytes out_bytes;
-    EXPECT_THROW(lzw_decode_into(buf, out_bytes), CorruptStream);
+}
+
+/// The CorruptStream message `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string corrupt_stream_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CorruptStream& e) {
+    return e.what();
   }
+  return "";
+}
+
+TEST(EntropyStage, RetiredIdsDecodeToTypedError) {
+  // Sections written by the retired stages (leading byte 4 or 5) fail
+  // with an error naming the stage, never as an unknown id.
+  const Bytes bwt_section{kRetiredBwtMtfId, 0x10, 0x20};
+  const Bytes lzw_section{kRetiredLzwId};
+  std::vector<std::uint32_t> out;
+  const auto decode_bwt = [&] { entropy_decode_codes_into(bwt_section, out); };
+  const auto decode_lzw = [&] { entropy_decode_codes_into(lzw_section, out); };
+  const auto lookup_lzw = [] {
+    (void)EntropyRegistry::instance().by_id(kRetiredLzwId);
+  };
+  EXPECT_EQ(corrupt_stream_message(decode_bwt),
+            "retired entropy stage 4 (bwt-mtf)");
+  EXPECT_EQ(corrupt_stream_message(decode_lzw),
+            "retired entropy stage 5 (lzw)");
+  EXPECT_EQ(corrupt_stream_message(lookup_lzw),
+            "retired entropy stage 5 (lzw)");
 }
 
 // ---------------------------------------------------------------------
@@ -322,6 +350,16 @@ std::size_t varint_len(std::uint64_t v) {
   return n;
 }
 
+/// Container bytes outside the block payloads and their size varints:
+/// magic, version, shape, block count, CRCs and id bytes.
+std::size_t index_overhead(const Bytes& container,
+                           const BlockContainerInfo& info) {
+  std::size_t overhead = container.size();
+  for (const auto& entry : info.blocks)
+    overhead -= entry.size + varint_len(entry.size);
+  return overhead;
+}
+
 Bytes mixed_stage_container(const FloatArray& field, std::size_t block_slabs,
                             const std::vector<std::string>& stages) {
   BlockContainerWriter writer(block_slabs);
@@ -360,15 +398,14 @@ FloatArray sine_field(const Shape& shape, std::uint64_t seed) {
 
 TEST(BlockContainerV12, MixedStagesRoundTripAndIndexNamesEveryBlock) {
   const FloatArray field = sine_field(Shape(16, 7, 5), 0xB12);
-  const Bytes container = mixed_stage_container(
-      field, 4, {"huffman", "ans", "bwt-mtf", "lzw"});
+  const Bytes container = mixed_stage_container(field, 4, {"huffman", "ans"});
 
   const BlockContainerInfo info = read_block_index(container);
   ASSERT_TRUE(info.has_backend_ids);
   ASSERT_TRUE(info.has_entropy_ids);
   ASSERT_EQ(info.blocks.size(), 4u);
   const std::uint8_t expect_ids[] = {kEntropyHuffmanId, kEntropyAnsId,
-                                     kEntropyBwtId, kEntropyLzwId};
+                                     kEntropyHuffmanId, kEntropyAnsId};
   for (std::size_t b = 0; b < info.blocks.size(); ++b) {
     EXPECT_EQ(info.blocks[b].entropy_id, expect_ids[b]) << "block " << b;
     const FloatArray block = decompress_block(container, b);
@@ -383,14 +420,14 @@ TEST(BlockContainerV12, MixedStagesRoundTripAndIndexNamesEveryBlock) {
   EXPECT_TRUE(plain_info.has_backend_ids);
   EXPECT_FALSE(plain_info.has_entropy_ids);
   for (const auto& entry : plain_info.blocks) EXPECT_EQ(entry.entropy_id, 0);
-  EXPECT_LT(plain.size() - plain_info.blocks.size(),
-            container.size());  // v1.2 spends one index byte per block
+  // v1.2 spends exactly one index byte per block over v1.1.
+  EXPECT_EQ(index_overhead(container, info),
+            index_overhead(plain, plain_info) + info.blocks.size());
 }
 
 TEST(BlockContainerV12, EveryPrefixTruncationRejected) {
   const FloatArray field = sine_field(Shape(8, 5, 3), 0xC4);
-  const Bytes container =
-      mixed_stage_container(field, 4, {"ans", "lzw"});
+  const Bytes container = mixed_stage_container(field, 4, {"huffman", "ans"});
   for (std::size_t cut = 0; cut < container.size(); ++cut) {
     const std::span<const std::uint8_t> prefix{container.data(), cut};
     EXPECT_THROW(
@@ -407,7 +444,7 @@ TEST(BlockContainerV12, EveryPrefixTruncationRejected) {
 
 TEST(BlockContainerV12, IndexEntropyByteMismatchRejected) {
   const FloatArray field = sine_field(Shape(8, 5, 3), 0xC5);
-  Bytes container = mixed_stage_container(field, 4, {"ans", "lzw"});
+  Bytes container = mixed_stage_container(field, 4, {"huffman", "ans"});
   const BlockContainerInfo info = read_block_index(container);
   ASSERT_TRUE(info.has_entropy_ids);
 
@@ -419,13 +456,19 @@ TEST(BlockContainerV12, IndexEntropyByteMismatchRejected) {
     offset += varint_len(info.shape.dim(d));
   offset += varint_len(info.block_slabs) + varint_len(info.blocks.size());
   offset += varint_len(info.blocks[0].size) + 4 + 1;
-  ASSERT_EQ(container[offset], kEntropyAnsId);
+  ASSERT_EQ(container[offset], kEntropyHuffmanId);
 
-  container[offset] = kEntropyLzwId;  // lies about block 0's stage
+  container[offset] = kEntropyAnsId;  // lies about block 0's stage
   const BlockContainerInfo tampered = read_block_index(container);
   EXPECT_THROW((void)block_payload(container, tampered, 0), CorruptStream);
   // Block 1's entry is untouched and still verifies.
   (void)block_payload(container, tampered, 1);
+
+  // An index naming a retired stage is rejected while reading the index.
+  container[offset] = kRetiredLzwId;
+  const auto read_index = [&] { (void)read_block_index(container); };
+  EXPECT_EQ(corrupt_stream_message(read_index),
+            "retired entropy stage 5 (lzw)");
 }
 
 TEST(AdaptiveEntropy, StageDuelingIsByteDeterministicAcrossWorkers) {
@@ -435,7 +478,7 @@ TEST(AdaptiveEntropy, StageDuelingIsByteDeterministicAcrossWorkers) {
   config.eb = 1e-3;
   AdaptiveOptions options;
   options.backends = {"lorenzo", "sz3-interp"};
-  options.entropy_stages = {"huffman", "ans", "bwt-mtf"};
+  options.entropy_stages = {"huffman", "ans"};
 
   Bytes reference;
   for (const std::size_t workers : {1u, 2u, 5u}) {

@@ -169,7 +169,9 @@ TEST(EventQueueChurn, MemoryStaysProportionalToLiveEvents) {
     // The heap can only reclaim deep tombstones through compaction;
     // the calendar's bucket-head pruning alone keeps this workload at
     // a handful of physical entries (the bound above proves it).
-    if (kind == QueueKind::kHeap) EXPECT_GT(queue.purges(), 0u);
+    if (kind == QueueKind::kHeap) {
+      EXPECT_GT(queue.purges(), 0u);
+    }
   }
 }
 

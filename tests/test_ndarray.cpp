@@ -28,6 +28,18 @@ TEST(Shape, ZeroDimensionThrows) {
   EXPECT_THROW(Shape(1, 2, 0), InvalidArgument);
 }
 
+TEST(Shape, ElementCountOverflowThrows) {
+  // 2^32 x 2^32 wraps a 64-bit size_t to 0; the constructor must refuse
+  // it rather than hand out a shape whose size() lies.
+  EXPECT_THROW(Shape(1ull << 32, 1ull << 32), InvalidArgument);
+  EXPECT_THROW(Shape(1ull << 22, 1ull << 21, 1ull << 21), InvalidArgument);
+  EXPECT_THROW(Shape(3, 1ull << 62, 2), InvalidArgument);
+  // The largest products that still fit are accepted exactly.
+  EXPECT_EQ(Shape(1ull << 32, (1ull << 32) - 1).size(),
+            (1ull << 32) * ((1ull << 32) - 1));
+  EXPECT_EQ(Shape(1ull << 21, 1ull << 21, 1ull << 21).size(), 1ull << 63);
+}
+
 TEST(Shape, Equality) {
   EXPECT_EQ(Shape(3, 4), Shape(3, 4));
   EXPECT_FALSE(Shape(3, 4) == Shape(4, 3));

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <tuple>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "compressor/compressor.hpp"
@@ -59,8 +63,11 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, NonFiniteSweep,
                          ::testing::Values("lorenzo", "sz2", "sz3-interp",
                                            "multigrid"));
 
-/// Fuzz: random single-byte mutations of valid blobs must never crash.
-class BlobFuzz : public ::testing::TestWithParam<const char*> {};
+/// Fuzz: random single-byte mutations of valid blobs must never crash,
+/// for every backend x entropy stage.
+class BlobFuzz
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+};
 
 TEST_P(BlobFuzz, MutatedBlobsNeverCrash) {
   FloatArray data(Shape(20, 20));
@@ -69,7 +76,8 @@ TEST_P(BlobFuzz, MutatedBlobsNeverCrash) {
     v = static_cast<float>(rng.normal(0.0, 1.0));
   }
   CompressionConfig config;
-  config.backend = GetParam();
+  config.backend = std::get<0>(GetParam());
+  config.entropy = std::get<1>(GetParam());
   config.eb = 1e-3;
   const Bytes blob = compress(data, config);
 
@@ -91,9 +99,38 @@ TEST_P(BlobFuzz, MutatedBlobsNeverCrash) {
   EXPECT_GT(threw, 100) << "decoded=" << decoded;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, BlobFuzz,
-                         ::testing::Values("lorenzo", "sz2", "sz3-interp",
-                                           "multigrid"));
+INSTANTIATE_TEST_SUITE_P(
+    AllBackendsAndStages, BlobFuzz,
+    ::testing::Combine(::testing::Values("lorenzo", "sz2", "sz3-interp",
+                                         "multigrid"),
+                       ::testing::Values("huffman", "ans")));
+
+TEST(Robustness, OverflowingShapeRejected) {
+  FloatArray data(Shape(4, 4));
+  const Bytes blob = compress(data, CompressionConfig{});
+  // Walk the OCZ1 header up to the shape: magic, dtype, backend id,
+  // eb, quant radius, anchor stride, block size, then rank and dims.
+  BytesReader in(blob);
+  (void)in.get_bytes(4);
+  (void)in.get<std::uint8_t>();
+  (void)in.get<std::uint8_t>();
+  (void)in.get<double>();
+  for (int i = 0; i < 3; ++i) (void)in.get_varint();
+  const std::size_t rank_at = blob.size() - in.remaining();
+  ASSERT_EQ(in.get<std::uint8_t>(), 2);
+  (void)in.get_varint();
+  (void)in.get_varint();
+  const std::size_t sections_at = blob.size() - in.remaining();
+
+  // Claim 2^32 x 2^32 elements, which wraps size_t to 0.
+  BytesWriter patched;
+  patched.put_bytes(std::span<const std::uint8_t>(blob).first(rank_at));
+  patched.put(std::uint8_t{2});
+  patched.put_varint(1ull << 32);
+  patched.put_varint(1ull << 32);
+  patched.put_bytes(std::span<const std::uint8_t>(blob).subspan(sections_at));
+  EXPECT_THROW((void)decompress<float>(patched.bytes()), InvalidArgument);
+}
 
 TEST(Robustness, TruncationSweepAlwaysThrowsOrDecodes) {
   FloatArray data(Shape(16, 16));
