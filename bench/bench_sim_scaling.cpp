@@ -8,10 +8,13 @@
 //
 // Three configurations run the same seeded corridor fleet
 // (datagen::generate_campaign_set):
-//   reference  heap queue + reference full-recompute fair share — the
+//   reference  heap queue + full-recompute fair share — the
 //              pre-fleet-engine implementation, the baseline row;
 //   heap       heap queue + incremental fair share;
-//   calendar   calendar queue + incremental fair share (the default).
+//   calendar   calendar queue + incremental fair share (production).
+// The heap queue and the full-recompute channel come from the oracle
+// library in tests/oracle/, swapped in through
+// OrchestratorOptions::seam.
 //
 // Wall times are the minimum over interleaved repetitions (the three
 // configurations alternate inside each rep), which strips scheduler
@@ -44,9 +47,10 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "datagen/campaigns.hpp"
+#include "oracle/heap_queue.hpp"
+#include "oracle/reference_fair_share.hpp"
 #include "orchestrator/orchestrator.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/tuning.hpp"
 
 using namespace ocelot;
 
@@ -54,14 +58,14 @@ namespace {
 
 struct ModeSpec {
   const char* name;
-  sim::QueueKind queue;
-  bool reference_fair_share;
+  sim::EngineSeam seam;
 };
 
-constexpr ModeSpec kModes[] = {
-    {"reference", sim::QueueKind::kHeap, true},
-    {"heap", sim::QueueKind::kHeap, false},
-    {"calendar", sim::QueueKind::kCalendar, false},
+const ModeSpec kModes[] = {
+    {"reference",
+     {sim::oracle::make_heap_queue, sim::oracle::make_reference_channel}},
+    {"heap", {sim::oracle::make_heap_queue, nullptr}},
+    {"calendar", {}},
 };
 
 /// The fleet every configuration simulates: maximum WAN contention
@@ -89,9 +93,8 @@ struct FleetResult {
 /// timer covers orchestrator construction, registration, and run().
 FleetResult run_fleet(std::size_t count, const ModeSpec& mode) {
   std::vector<CampaignSpec> specs = generate_campaign_set(fleet_config(count));
-  sim::set_reference_fair_share(mode.reference_fair_share);
   OrchestratorOptions options = fleet_pool_options();
-  options.queue_kind = mode.queue;
+  options.seam = mode.seam;
 
   const bench::AllocCounters before = bench::alloc_counters();
   const Timer wall;
@@ -102,7 +105,6 @@ FleetResult run_fleet(std::size_t count, const ModeSpec& mode) {
   const OrchestratorReport report = orch.run();
   const double seconds = wall.seconds();
   const bench::AllocCounters after = bench::alloc_counters();
-  sim::set_reference_fair_share(false);
 
   FleetResult result;
   result.wall_seconds = seconds;
@@ -123,7 +125,8 @@ struct ChurnResult {
 /// FairShareChannel reschedules next_completion_ on every flow
 /// change), and one pop. Occupancy is held at fleet scale by the
 /// pre-seeded live set.
-ChurnResult run_queue_churn(sim::QueueKind kind, std::size_t rounds) {
+template <class Queue>
+ChurnResult run_queue_churn(std::size_t rounds) {
   Rng rng(17);
   std::vector<double> arrival_draw(rounds), rearm_draw(rounds);
   for (std::size_t i = 0; i < rounds; ++i) {
@@ -133,7 +136,7 @@ ChurnResult run_queue_churn(sim::QueueKind kind, std::size_t rounds) {
 
   const bench::AllocCounters before = bench::alloc_counters();
   const Timer wall;
-  sim::EventQueue queue(kind);
+  Queue queue;
   double now = 0.0;
   sim::EventHandle completion;
   for (int i = 0; i < 64; ++i) {
@@ -221,9 +224,8 @@ int main(int argc, char** argv) {
   // ---- Queue-isolated A/B rows, same interleaved-min protocol. ----
   ChurnResult churn_heap, churn_calendar;
   for (int rep = 0; rep < reps; ++rep) {
-    ChurnResult h = run_queue_churn(sim::QueueKind::kHeap, churn_rounds);
-    ChurnResult cal =
-        run_queue_churn(sim::QueueKind::kCalendar, churn_rounds);
+    ChurnResult h = run_queue_churn<sim::oracle::HeapQueue>(churn_rounds);
+    ChurnResult cal = run_queue_churn<sim::EventQueue>(churn_rounds);
     if (rep == 0 || h.wall_seconds < churn_heap.wall_seconds) churn_heap = h;
     if (rep == 0 || cal.wall_seconds < churn_calendar.wall_seconds) {
       churn_calendar = cal;

@@ -38,7 +38,9 @@ class Shape {
   }
 
   [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] std::size_t dim(int i) const { return dims_[static_cast<std::size_t>(i)]; }
+  [[nodiscard]] std::size_t dim(int i) const {
+    return dims_[static_cast<std::size_t>(i)];
+  }
   [[nodiscard]] std::size_t size() const {
     return dims_[0] * dims_[1] * dims_[2];
   }
@@ -79,7 +81,9 @@ class NdArray {
 
   [[nodiscard]] const Shape& shape() const { return shape_; }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] std::size_t byte_size() const { return data_.size() * sizeof(T); }
+  [[nodiscard]] std::size_t byte_size() const {
+    return data_.size() * sizeof(T);
+  }
 
   [[nodiscard]] std::span<const T> values() const { return data_; }
   [[nodiscard]] std::span<T> values() { return data_; }

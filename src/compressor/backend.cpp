@@ -1,6 +1,5 @@
 #include "compressor/backend.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -130,17 +129,6 @@ std::vector<const CompressorBackend*> BackendRegistry::list() const {
   backends.reserve(by_id_.size());
   for (const auto& [id, backend] : by_id_) backends.push_back(backend.get());
   return backends;
-}
-
-BackendRegistrar::BackendRegistrar(
-    std::unique_ptr<CompressorBackend> backend) {
-  try {
-    BackendRegistry::instance().add(std::move(backend));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fatal: backend registration failed: %s\n",
-                 e.what());
-    std::abort();
-  }
 }
 
 std::vector<std::string> registered_backend_names() {

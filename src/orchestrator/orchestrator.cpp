@@ -38,7 +38,7 @@ struct Orchestrator::Runtime {
 };
 
 Orchestrator::Orchestrator(OrchestratorOptions options)
-    : options_(std::move(options)), engine_(options_.queue_kind) {
+    : options_(std::move(options)), engine_(options_.seam) {
   faas_ = std::make_unique<FuncXService>(engine_);
   globus_ =
       std::make_unique<GlobusService>(engine_, options_.endpoint_settings);
@@ -275,8 +275,7 @@ OrchestratorReport Orchestrator::run() {
 
   live_campaigns_ = campaigns_.size();
   for (const FlapSpec& spec : flap_specs_) {
-    sim::FairShareChannel& channel =
-        globus_->channel_for(route(spec.src, spec.dst));
+    sim::FlowChannel& channel = globus_->channel_for(route(spec.src, spec.dst));
     flaps_.push_back(std::make_unique<sim::LinkFlap>(
         engine_, channel, spec.config,
         [this] { return live_campaigns_ > 0; }));

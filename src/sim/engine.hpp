@@ -10,11 +10,14 @@
 // workloads contend for shared resources instead of living in
 // separate, closed-form timelines.
 //
-// Fleet scale: the default calendar-queue scheduler plus pooled event
-// records and pooled process handles make the schedule→fire→drop
-// cycle allocation-free in steady state; pass QueueKind::kHeap (or
-// set OCELOT_SIM_QUEUE=heap) to run on the reference binary heap
-// instead — results are bit-identical either way.
+// Fleet scale: the calendar-queue scheduler plus pooled event records
+// and pooled process handles make the schedule→fire→drop cycle
+// allocation-free in steady state.
+//
+// EngineSeam is a test seam. It lets the differential tests and
+// bench_sim_scaling run the engine on reference implementations (the
+// oracle library in tests/oracle/) without a switch in the library:
+// the seam is read once, when the queue or a channel is built.
 
 #include <cstdint>
 #include <memory>
@@ -28,16 +31,32 @@
 #include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/process.hpp"
-#include "sim/tuning.hpp"
 
 namespace ocelot::sim {
 
+class Engine;
+class FlowChannel;
+
+/// Substitute implementations for what an Engine and the services on
+/// it build. A null member means the library's own: EventQueue for
+/// the engine, FairShareChannel for make_flow_channel(). Nothing in
+/// the library sets either.
+struct EngineSeam {
+  std::unique_ptr<EventScheduler> (*make_queue)() = nullptr;
+  std::unique_ptr<FlowChannel> (*make_channel)(Engine& engine,
+                                               std::string name,
+                                               double capacity) = nullptr;
+};
+
 class Engine {
  public:
-  using Callback = EventQueue::Callback;
+  using Callback = EventScheduler::Callback;
 
-  explicit Engine(QueueKind queue_kind = default_queue_kind())
-      : queue_(queue_kind), pool_(std::make_shared<ChunkPool>()) {}
+  explicit Engine(EngineSeam seam = {})
+      : seam_(seam),
+        queue_(seam.make_queue != nullptr ? seam.make_queue()
+                                          : std::make_unique<EventQueue>()),
+        pool_(std::make_shared<ChunkPool>()) {}
 
   /// Current virtual time in seconds.
   [[nodiscard]] double now() const { return clock_.now(); }
@@ -45,7 +64,7 @@ class Engine {
   /// Schedules `cb` at absolute virtual time `time` (>= now).
   EventHandle schedule_at(double time, Callback cb) {
     require(time >= clock_.now(), "Simulation: cannot schedule in the past");
-    return queue_.push(time, std::move(cb));
+    return queue_->push(time, std::move(cb));
   }
 
   /// Schedules `cb` after `delay` seconds of virtual time.
@@ -57,7 +76,7 @@ class Engine {
   /// Runs until the event queue drains. Returns events executed.
   std::size_t run() {
     std::size_t executed = 0;
-    while (!queue_.empty()) {
+    while (!queue_->empty()) {
       step();
       ++executed;
     }
@@ -68,7 +87,7 @@ class Engine {
   std::size_t run_until(double t) {
     require(t >= clock_.now(), "Simulation: cannot run backwards");
     std::size_t executed = 0;
-    while (!queue_.empty() && queue_.next_time() <= t) {
+    while (!queue_->empty() && queue_->next_time() <= t) {
       step();
       ++executed;
     }
@@ -76,13 +95,10 @@ class Engine {
     return executed;
   }
 
-  [[nodiscard]] bool idle() { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return queue_.live(); }
+  [[nodiscard]] bool idle() { return queue_->empty(); }
+  [[nodiscard]] std::size_t pending() const { return queue_->live(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
-  [[nodiscard]] QueueKind queue_kind() const { return queue_.kind(); }
-
-  /// The queue's tombstone sweeps so far (purge-rate observability).
-  [[nodiscard]] std::uint64_t queue_purges() const { return queue_.purges(); }
+  [[nodiscard]] const EngineSeam& seam() const { return seam_; }
 
   /// Spawns a named process starting at the current virtual time.
   ProcessHandle spawn(std::string name) {
@@ -115,16 +131,17 @@ class Engine {
 
  private:
   void step() {
-    auto [time, cb] = queue_.pop();
+    auto [time, cb] = queue_->pop();
     clock_.advance_to(time);
     ++executed_;
     OCELOT_COUNT("sim.events", 1);
-    OCELOT_HIST("sim.queue_depth", static_cast<double>(queue_.live()));
+    OCELOT_HIST("sim.queue_depth", static_cast<double>(queue_->live()));
     cb();
   }
 
+  EngineSeam seam_;
   SimClock clock_;
-  EventQueue queue_;
+  std::unique_ptr<EventScheduler> queue_;
   std::shared_ptr<ChunkPool> pool_;
   std::vector<ProcessHandle> processes_;
   std::uint64_t executed_ = 0;

@@ -7,15 +7,12 @@
 // cancelling after it fired is a no-op. Handles are cheap to copy and
 // may outlive the engine safely.
 //
-// Two storage models back a handle, matching the two EventQueue
-// implementations:
-//   * calendar (default): the event lives in a slot of the queue's
-//     EventPool — a free-listed record array with generation counters,
-//     so scheduling allocates nothing in steady state. The handle
-//     holds (weak pool, slot, generation); a stale generation means
-//     the event already fired.
-//   * heap (reference): one shared EventState per event, exactly the
-//     original allocation behaviour, kept for differential testing.
+// A handle is (owner, slot, generation): the owner stores the event
+// record, and a stale generation means the event already fired. The
+// EventQueue's owner is its EventPool — a free-listed record array
+// with generation counters, so scheduling allocates nothing in steady
+// state. A queue substituted through EngineSeam supplies its own
+// owner.
 
 #include <cstdint>
 #include <memory>
@@ -34,25 +31,28 @@ namespace detail {
 /// larger captures still work via the heap fallback.
 using EventCallback = InlineFunction<void(), 128>;
 
-/// Live-event bookkeeping shared between the heap queue and its
-/// handles.
-struct QueueCounters {
-  std::size_t live = 0;
+/// Storage that EventHandles point into: answers and cancels by
+/// (slot, generation).
+class EventOwner {
+ public:
+  EventOwner() = default;
+  EventOwner(const EventOwner&) = delete;
+  EventOwner& operator=(const EventOwner&) = delete;
+  virtual ~EventOwner() = default;
+
+  /// Is (slot, gen) still a scheduled, uncancelled event?
+  [[nodiscard]] virtual bool handle_active(std::uint32_t slot,
+                                           std::uint32_t gen) const = 0;
+
+  /// Cancels (slot, gen); returns false when stale or repeated.
+  virtual bool cancel(std::uint32_t slot, std::uint32_t gen) = 0;
 };
 
-/// Reference (heap-queue) per-event record.
-struct EventState {
-  bool cancelled = false;
-  bool fired = false;
-  std::weak_ptr<QueueCounters> counters;
-  EventCallback cb;
-};
-
-/// Slot pool for calendar-queue event records: a vector of reusable
-/// slots threaded on a LIFO free list. Generations disambiguate
-/// handles to recycled slots; cancelled slots stay allocated (as
-/// tombstones the queue sweeps) until collected.
-class EventPool {
+/// Slot pool for EventQueue event records: a vector of reusable slots
+/// threaded on a LIFO free list. Generations disambiguate handles to
+/// recycled slots; cancelled slots stay allocated (as tombstones the
+/// queue sweeps) until collected.
+class EventPool final : public EventOwner {
  public:
   struct Slot {
     double time = 0.0;
@@ -85,15 +85,13 @@ class EventPool {
     return slots_[idx];
   }
 
-  /// Handle-side: is (idx, gen) still a scheduled, uncancelled event?
   [[nodiscard]] bool handle_active(std::uint32_t idx,
-                                   std::uint32_t gen) const {
+                                   std::uint32_t gen) const override {
     return idx < slots_.size() && slots_[idx].gen == gen &&
            !slots_[idx].cancelled;
   }
 
-  /// Handle-side cancellation; returns false when stale or repeated.
-  bool cancel(std::uint32_t idx, std::uint32_t gen) {
+  bool cancel(std::uint32_t idx, std::uint32_t gen) override {
     if (!handle_active(idx, gen)) return false;
     slots_[idx].cancelled = true;
     slots_[idx].cb = nullptr;  // free captures immediately
@@ -138,42 +136,29 @@ class EventHandle {
  public:
   EventHandle() = default;
 
+  /// The handle a queue returns for the record at (slot, gen) in
+  /// `owner`. The owner is held weakly so a callback capturing its
+  /// own handle (task objects do) cannot keep the owner — and thus
+  /// itself — alive in a cycle.
+  EventHandle(std::weak_ptr<detail::EventOwner> owner, std::uint32_t slot,
+              std::uint32_t gen)
+      : owner_(std::move(owner)), slot_(slot), gen_(gen) {}
+
   /// True while the event is scheduled and not cancelled.
   [[nodiscard]] bool active() const {
-    if (state_) return !state_->cancelled && !state_->fired;
-    if (auto pool = pool_.lock()) return pool->handle_active(slot_, gen_);
+    if (auto owner = owner_.lock()) return owner->handle_active(slot_, gen_);
     return false;
   }
 
   /// Cancels the event; returns false if it already fired or was
   /// already cancelled (or the handle is empty).
   bool cancel() {
-    if (state_) {
-      if (state_->cancelled || state_->fired) return false;
-      state_->cancelled = true;
-      state_->cb = nullptr;  // free captures immediately
-      if (auto counters = state_->counters.lock()) --counters->live;
-      return true;
-    }
-    if (auto pool = pool_.lock()) return pool->cancel(slot_, gen_);
+    if (auto owner = owner_.lock()) return owner->cancel(slot_, gen_);
     return false;
   }
 
  private:
-  friend class HeapQueue;
-  friend class CalendarQueue;
-  explicit EventHandle(std::shared_ptr<detail::EventState> state)
-      : state_(std::move(state)) {}
-  EventHandle(const std::shared_ptr<detail::EventPool>& pool,
-              std::uint32_t slot, std::uint32_t gen)
-      : pool_(pool), slot_(slot), gen_(gen) {}
-
-  // Heap (reference) mode: shared per-event state.
-  std::shared_ptr<detail::EventState> state_;
-  // Calendar mode: (pool, slot, generation). The pool reference is
-  // weak so a callback capturing its own handle (task objects do)
-  // cannot keep the whole pool — and thus itself — alive in a cycle.
-  std::weak_ptr<detail::EventPool> pool_;
+  std::weak_ptr<detail::EventOwner> owner_;
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;
 };

@@ -18,19 +18,22 @@
 // delivered s seconds of service?") — the sentinel uses that to learn
 // which files already moved when it cancels a transfer mid-flight.
 //
-// Fleet scale: the default implementation maintains flows in a sorted
-// (demand, id) structure across add/remove, so each reallocation is a
-// single allocation-free sequential pass instead of a fresh
-// sort + scratch vectors. The floating-point operations are performed
-// in exactly the order of the reference max_min_allocation path, so
-// results are bit-identical; set OCELOT_SIM_REFERENCE=1 (or
-// set_reference_fair_share) to run the original full-recompute path
-// for differential testing. Same-timestamp rate updates are batched
-// into a single rate segment in both modes.
+// Fleet scale: the channel maintains flows in a sorted (demand, id)
+// structure across add/remove, so each reallocation is a single
+// allocation-free sequential pass instead of a fresh sort + scratch
+// vectors. The floating-point operations are performed in exactly the
+// order max_min_allocation performs them, so rates are bit-identical
+// to a full recompute; the differential tests hold it to that against
+// the full-recompute reference channel in tests/oracle/.
+// Same-timestamp rate updates are batched into a single rate segment.
+//
+// Services hold channels through the FlowChannel interface and build
+// them with make_flow_channel(), which honours the engine's
+// EngineSeam; FairShareChannel is the library's one implementation.
 
 #include <cstdint>
 #include <limits>
-#include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -44,6 +47,8 @@ namespace ocelot::sim {
 
 /// Max-min fair allocation of `capacity` across `demands` (all > 0):
 /// repeatedly satisfies the smallest unmet demand and splits the rest.
+/// The daemon's FairScheduler allocates with it; FairShareChannel's
+/// incremental pass reproduces it operation for operation.
 std::vector<double> max_min_allocation(double capacity,
                                        std::span<const double> demands);
 
@@ -58,7 +63,8 @@ struct ChannelStats {
   std::uint64_t flows_cancelled = 0;
 };
 
-class FairShareChannel {
+/// A shared capacity serving concurrent flows; see the file comment.
+class FlowChannel {
  public:
   using FlowId = std::uint64_t;
   /// Flow-completion callback; sized like the engine's event callbacks
@@ -66,38 +72,66 @@ class FairShareChannel {
   using FlowCallback = InlineFunction<void(), 128>;
   static constexpr double kNever = std::numeric_limits<double>::infinity();
 
-  FairShareChannel(Engine& engine, std::string name, double capacity);
+  FlowChannel() = default;
+  FlowChannel(const FlowChannel&) = delete;
+  FlowChannel& operator=(const FlowChannel&) = delete;
+  virtual ~FlowChannel() = default;
 
   /// Starts a flow needing `work_seconds` of solo service at demand
   /// `demand` capacity-units/s. `on_complete` fires at the virtual
   /// time the work finishes (not on cancellation). `stat_units` is
   /// what the flow contributes to stats().units_delivered when fully
   /// served (e.g. its payload bytes); defaults to demand * work.
-  FlowId open_flow(double demand, double work_seconds,
-                   FlowCallback on_complete, double stat_units = -1.0);
+  virtual FlowId open_flow(double demand, double work_seconds,
+                           FlowCallback on_complete,
+                           double stat_units = -1.0) = 0;
 
   /// Stops a flow mid-service; progress freezes at the current time.
-  void cancel_flow(FlowId id);
+  virtual void cancel_flow(FlowId id) = 0;
 
   /// Changes the channel's total capacity at the current virtual time
   /// (e.g. a link degrading or recovering); rates reallocate at once.
-  void set_capacity(double capacity);
+  virtual void set_capacity(double capacity) = 0;
 
-  [[nodiscard]] bool flow_active(FlowId id) const;
+  [[nodiscard]] virtual bool flow_active(FlowId id) const = 0;
 
   /// Solo-service seconds delivered to `id` by wall time `t`.
-  [[nodiscard]] double progress_at(FlowId id, double t) const;
+  [[nodiscard]] virtual double progress_at(FlowId id, double t) const = 0;
 
   /// Wall time at which cumulative solo-service `s` was delivered to
   /// `id`; kNever if the flow ended before reaching `s`.
-  [[nodiscard]] double delivery_time(FlowId id, double s) const;
+  [[nodiscard]] virtual double delivery_time(FlowId id, double s) const = 0;
 
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] double capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t active_flows() const { return active_.size(); }
-  [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  [[nodiscard]] bool reference_mode() const { return reference_; }
-  [[nodiscard]] std::uint64_t reallocations() const { return reallocs_; }
+  [[nodiscard]] virtual const std::string& name() const = 0;
+  [[nodiscard]] virtual double capacity() const = 0;
+  [[nodiscard]] virtual std::size_t active_flows() const = 0;
+  [[nodiscard]] virtual const ChannelStats& stats() const = 0;
+};
+
+/// The channel `engine`'s seam asks for, else a FairShareChannel.
+std::unique_ptr<FlowChannel> make_flow_channel(Engine& engine,
+                                               std::string name,
+                                               double capacity);
+
+class FairShareChannel final : public FlowChannel {
+ public:
+  FairShareChannel(Engine& engine, std::string name, double capacity);
+
+  FlowId open_flow(double demand, double work_seconds,
+                   FlowCallback on_complete,
+                   double stat_units = -1.0) override;
+  void cancel_flow(FlowId id) override;
+  void set_capacity(double capacity) override;
+  [[nodiscard]] bool flow_active(FlowId id) const override;
+  [[nodiscard]] double progress_at(FlowId id, double t) const override;
+  [[nodiscard]] double delivery_time(FlowId id, double s) const override;
+
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  [[nodiscard]] double capacity() const override { return capacity_; }
+  [[nodiscard]] std::size_t active_flows() const override {
+    return active_.size();
+  }
+  [[nodiscard]] const ChannelStats& stats() const override { return stats_; }
 
  private:
   /// One constant-rate stretch of a flow's service history.
@@ -137,25 +171,16 @@ class FairShareChannel {
 
   const Flow& flow_ref(FlowId id) const;
   const Hot& hot_ref(FlowId id) const;
-  /// Hot-path slot resolution: the identity normally; one map lookup
-  /// per access in reference mode, reproducing the original map-backed
-  /// flow table so the A/B bench row carries the true pre-incremental
-  /// cost (conservatively — the original's map also owned the Flow
-  /// nodes, scattering them across the heap).
-  [[nodiscard]] std::size_t slot_of(FlowId id) const {
-    return reference_ ? reference_index_.find(id)->second
-                      : static_cast<std::size_t>(id);
-  }
   /// Advances all active flows' progress (and the stats integrals) to
   /// the current virtual time.
   void sync_progress();
   /// Recomputes fair-share rates and reschedules the next completion.
   void reallocate();
-  /// Records `fraction` for the flow in `slot` at `now` (batching
+  /// Records `fraction` for flow `id` at `now` (batching
   /// same-timestamp updates into one segment) and folds its finish
   /// time into `earliest`. Touches the cold record only when the
   /// fraction actually changed.
-  void apply_fraction(std::size_t slot, double fraction, double now,
+  void apply_fraction(FlowId id, double fraction, double now,
                       double& earliest);
   /// Drops `id` from active_ and from the sorted demand structure.
   void remove_active(FlowId id, double demand);
@@ -164,7 +189,6 @@ class FairShareChannel {
   Engine& engine_;
   std::string name_;
   double capacity_;
-  const bool reference_;  ///< full-recompute reference path?
   std::vector<Hot> hot_;        ///< indexed by FlowId; dense hot state
   std::vector<Flow> flows_;     ///< indexed by FlowId
   std::vector<SegmentVec> segments_;  ///< indexed by FlowId; rate history
@@ -172,15 +196,11 @@ class FairShareChannel {
   /// Active flows sorted ascending by (demand, id) — maintained across
   /// add/remove so reallocation is one sequential pass.
   std::vector<std::pair<double, FlowId>> sorted_;
-  /// Reference mode only: FlowId -> flows_ position, consulted on
-  /// every hot-path access like the original std::map<FlowId, Flow>.
-  std::map<FlowId, std::size_t> reference_index_;
   std::vector<FlowId> done_scratch_;
   std::vector<FlowCallback> callbacks_scratch_;
   EventHandle next_completion_;
   double last_update_ = 0.0;
   ChannelStats stats_;
-  std::uint64_t reallocs_ = 0;
 };
 
 }  // namespace ocelot::sim

@@ -7,7 +7,7 @@
 
 namespace ocelot::sim {
 
-LinkFlap::LinkFlap(Engine& engine, FairShareChannel& channel,
+LinkFlap::LinkFlap(Engine& engine, FlowChannel& channel,
                    LinkFlapConfig config, KeepRunning keep_running)
     : engine_(engine), channel_(channel), config_(config),
       keep_running_(std::move(keep_running)), rng_(config.seed) {

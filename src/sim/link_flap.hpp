@@ -1,7 +1,7 @@
 #pragma once
 // Seeded failure injection: WAN link bandwidth flapping.
 //
-// A LinkFlap drives one FairShareChannel through alternating up and
+// A LinkFlap drives one FlowChannel through alternating up and
 // degraded periods drawn from seeded exponential distributions — the
 // lightweight failure model for wide-area links whose effective
 // bandwidth collapses under congestion or partial outage rather than
@@ -38,7 +38,7 @@ class LinkFlap {
   /// injector (restoring full capacity if currently degraded).
   using KeepRunning = InlineFunction<bool()>;
 
-  LinkFlap(Engine& engine, FairShareChannel& channel, LinkFlapConfig config,
+  LinkFlap(Engine& engine, FlowChannel& channel, LinkFlapConfig config,
            KeepRunning keep_running);
 
   /// Schedules the first degradation. Call once.
@@ -55,7 +55,7 @@ class LinkFlap {
   void transition();
 
   Engine& engine_;
-  FairShareChannel& channel_;
+  FlowChannel& channel_;
   LinkFlapConfig config_;
   KeepRunning keep_running_;
   Rng rng_;

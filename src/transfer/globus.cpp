@@ -9,8 +9,8 @@ namespace ocelot {
 
 double TransferTask::file_completion_offset(std::size_t i) const {
   const double delivered_at = channel_->delivery_time(flow_, data_service_[i]);
-  if (delivered_at == sim::FairShareChannel::kNever) {
-    return sim::FairShareChannel::kNever;
+  if (delivered_at == sim::FlowChannel::kNever) {
+    return sim::FlowChannel::kNever;
   }
   return estimate_.startup_seconds +
          estimate_.per_file_seconds * static_cast<double>(i + 1) +
@@ -56,12 +56,12 @@ void TransferTask::cancel(double now) {
   on_complete_ = nullptr;
 }
 
-sim::FairShareChannel& GlobusService::channel_for(const LinkProfile& link) {
+sim::FlowChannel& GlobusService::channel_for(const LinkProfile& link) {
   auto it = channels_.find(link.name);
   if (it == channels_.end()) {
     it = channels_
-             .emplace(link.name, std::make_unique<sim::FairShareChannel>(
-                                     sim_, link.name, link.bandwidth_bps))
+             .emplace(link.name, sim::make_flow_channel(sim_, link.name,
+                                                        link.bandwidth_bps))
              .first;
   }
   return *it->second;
@@ -89,7 +89,7 @@ std::shared_ptr<TransferTask> GlobusService::submit(
         est.per_file_seconds * static_cast<double>(i + 1));
   }
 
-  sim::FairShareChannel& channel = channel_for(request.link);
+  sim::FlowChannel& channel = channel_for(request.link);
   task->channel_ = &channel;
   const double payload_bytes = std::accumulate(
       request.file_bytes.begin(), request.file_bytes.end(), 0.0);

@@ -82,8 +82,8 @@ class TransferTask {
   double cancelled_at_ = 0.0;
   double completed_at_ = 0.0;
   bool service_done_ = false;
-  sim::FairShareChannel* channel_ = nullptr;
-  sim::FairShareChannel::FlowId flow_ = 0;
+  sim::FlowChannel* channel_ = nullptr;
+  sim::FlowChannel::FlowId flow_ = 0;
   sim::EventHandle completion_event_;
 };
 
@@ -104,12 +104,12 @@ class GlobusService {
   /// The fair-share channel carrying `link`'s traffic, created on
   /// first use — exposed so failure injectors (sim::LinkFlap) can
   /// attach to a route before or after transfers start on it.
-  sim::FairShareChannel& channel_for(const LinkProfile& link);
+  sim::FlowChannel& channel_for(const LinkProfile& link);
 
   /// The per-route fair-share channels created so far (keyed by link
   /// name), for utilization/concurrency reporting.
   [[nodiscard]] const std::map<std::string,
-                               std::unique_ptr<sim::FairShareChannel>>&
+                               std::unique_ptr<sim::FlowChannel>>&
   channels() const {
     return channels_;
   }
@@ -117,7 +117,7 @@ class GlobusService {
  private:
   Simulation& sim_;
   GridFtpModel model_;
-  std::map<std::string, std::unique_ptr<sim::FairShareChannel>> channels_;
+  std::map<std::string, std::unique_ptr<sim::FlowChannel>> channels_;
 };
 
 }  // namespace ocelot

@@ -223,8 +223,8 @@ TEST(EntropyStage, RejectsCorruptStreams) {
     entropy_encode_codes(codes, *stage, LosslessBackend::kLzb, sink);
     // Every strict prefix must be rejected, never mis-decode silently
     // into the original stream.
-    for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, buf.size() / 2,
-                                  buf.size() - 1}) {
+    for (const std::size_t cut :
+         {std::size_t{0}, std::size_t{1}, buf.size() / 2, buf.size() - 1}) {
       std::vector<std::uint32_t> partial;
       try {
         entropy_decode_codes_into(
@@ -414,8 +414,7 @@ TEST(BlockContainerV12, MixedStagesRoundTripAndIndexNamesEveryBlock) {
 
   // All-default payloads must keep the v1.1 index (no entropy bytes),
   // so stage-unaware pipelines emit the exact bytes they always did.
-  const Bytes plain =
-      mixed_stage_container(field, 4, {"huffman"});
+  const Bytes plain = mixed_stage_container(field, 4, {"huffman"});
   const BlockContainerInfo plain_info = read_block_index(plain);
   EXPECT_TRUE(plain_info.has_backend_ids);
   EXPECT_FALSE(plain_info.has_entropy_ids);

@@ -1,8 +1,9 @@
-// Differential and regression tests for the event-queue pair: the
-// calendar queue must pop the exact (time, seq, payload) sequence the
-// reference binary heap pops on any workload, both must keep memory
-// O(live) under schedule/cancel churn, and the supporting pieces
-// (InlineFunction, ChunkPool) must behave as advertised.
+// Differential and regression tests for the event queue: the calendar
+// EventQueue must pop the exact (time, seq, payload) sequence the
+// reference binary heap (tests/oracle/) pops on any workload, both
+// must keep memory O(live) under schedule/cancel churn, and the
+// supporting pieces (InlineFunction, ChunkPool) must behave as
+// advertised.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,7 +13,7 @@
 #include "common/inline_function.hpp"
 #include "common/pool_alloc.hpp"
 #include "common/rng.hpp"
-#include "sim/calendar_queue.hpp"
+#include "oracle/heap_queue.hpp"
 #include "sim/event_queue.hpp"
 
 namespace ocelot::sim {
@@ -56,12 +57,25 @@ std::vector<Op> make_script(std::uint64_t seed, std::size_t n) {
   return ops;
 }
 
-/// Replays `ops` on a queue of `kind`; returns the popped
-/// (time, payload) sequence. Push times honour the engine contract
-/// (>= last popped time).
-std::vector<std::pair<double, int>> replay(QueueKind kind,
+/// Runs `body(queue, is_heap)` on a fresh production EventQueue and
+/// on a fresh reference HeapQueue.
+template <class Body>
+void for_each_queue(Body body) {
+  {
+    EventQueue queue;
+    body(queue, false);
+  }
+  {
+    oracle::HeapQueue queue;
+    body(queue, true);
+  }
+}
+
+/// Replays `ops` on `queue`; returns the popped (time, payload)
+/// sequence. Push times honour the engine contract (>= last popped
+/// time).
+std::vector<std::pair<double, int>> replay(EventScheduler& queue,
                                            const std::vector<Op>& ops) {
-  EventQueue queue(kind);
   std::vector<std::pair<double, int>> popped;
   std::vector<EventHandle> handles;
   double now = 0.0;
@@ -102,8 +116,10 @@ std::vector<std::pair<double, int>> replay(QueueKind kind,
 TEST(EventQueueDifferential, CalendarMatchesHeapOnRandomWorkloads) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull, 99999ull}) {
     const std::vector<Op> ops = make_script(seed, 4000);
-    const auto heap = replay(QueueKind::kHeap, ops);
-    const auto calendar = replay(QueueKind::kCalendar, ops);
+    oracle::HeapQueue heap_queue;
+    EventQueue calendar_queue;
+    const auto heap = replay(heap_queue, ops);
+    const auto calendar = replay(calendar_queue, ops);
     ASSERT_EQ(heap.size(), calendar.size()) << "seed " << seed;
     for (std::size_t i = 0; i < heap.size(); ++i) {
       EXPECT_EQ(heap[i].first, calendar[i].first)
@@ -115,8 +131,7 @@ TEST(EventQueueDifferential, CalendarMatchesHeapOnRandomWorkloads) {
 }
 
 TEST(EventQueueDifferential, TiesPopInSubmissionOrder) {
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
+  for_each_queue([](auto& queue, bool /*is_heap*/) {
     std::vector<int> order;
     for (int i = 0; i < 100; ++i) {
       queue.push(3.25, [&order, i] { order.push_back(i); });
@@ -124,14 +139,13 @@ TEST(EventQueueDifferential, TiesPopInSubmissionOrder) {
     while (!queue.empty()) queue.pop().second();
     ASSERT_EQ(order.size(), 100u);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
-  }
+  });
 }
 
 TEST(EventQueueDifferential, NearPastPushAfterFarFuturePop) {
   // Events scheduled behind the scan frontier (but >= the last popped
   // time) must still come out in order — the calendar rewinds.
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
+  for_each_queue([](auto& queue, bool /*is_heap*/) {
     queue.push(1e6, [] {});
     ASSERT_FALSE(queue.empty());
     EXPECT_EQ(queue.pop().first, 1e6);
@@ -140,15 +154,50 @@ TEST(EventQueueDifferential, NearPastPushAfterFarFuturePop) {
     EXPECT_EQ(queue.pop().first, 1e6);
     EXPECT_EQ(queue.pop().first, 1e6 + 1.0);
     EXPECT_TRUE(queue.empty());
+  });
+}
+
+TEST(EventQueueDifferential, HandlesGoInactiveOnFireAndCancel) {
+  for_each_queue([](auto& queue, bool /*is_heap*/) {
+    EventHandle fired = queue.push(1.0, [] {});
+    EventHandle cancelled = queue.push(2.0, [] {});
+    EventHandle self;
+    bool active_while_running = true;
+    self = queue.push(3.0, [&] { active_while_running = self.active(); });
+    EXPECT_TRUE(fired.active());
+    EXPECT_TRUE(cancelled.cancel());
+    EXPECT_FALSE(cancelled.active());
+    EXPECT_FALSE(cancelled.cancel());
+    EXPECT_EQ(queue.live(), 2u);
+    EXPECT_EQ(queue.pop().first, 1.0);
+    EXPECT_FALSE(fired.active());
+    EXPECT_FALSE(fired.cancel());
+    queue.pop().second();
+    EXPECT_FALSE(active_while_running);
+    EXPECT_FALSE(self.cancel());
+    EXPECT_TRUE(queue.empty());
+  });
+  // A handle may outlive its queue.
+  EventHandle orphan;
+  {
+    EventQueue queue;
+    orphan = queue.push(1.0, [] {});
   }
+  EXPECT_FALSE(orphan.active());
+  EXPECT_FALSE(orphan.cancel());
+  {
+    oracle::HeapQueue queue;
+    orphan = queue.push(1.0, [] {});
+  }
+  EXPECT_FALSE(orphan.active());
+  EXPECT_FALSE(orphan.cancel());
 }
 
 TEST(EventQueueChurn, MemoryStaysProportionalToLiveEvents) {
   // Schedule/cancel churn: every round adds two events and cancels
   // one; tombstone sweeps must keep physical storage O(live) for both
   // implementations.
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
+  for_each_queue([](auto& queue, bool is_heap) {
     Rng rng(5);
     double now = 0.0;
     for (int round = 0; round < 20000; ++round) {
@@ -164,20 +213,19 @@ TEST(EventQueueChurn, MemoryStaysProportionalToLiveEvents) {
       if (!queue.empty()) now = queue.pop().first;
       const std::size_t bound = 4 * (queue.live() + 1) + 64;
       ASSERT_LE(queue.physical_entries(), bound)
-          << "kind " << static_cast<int>(kind) << " round " << round;
+          << (is_heap ? "heap" : "calendar") << " round " << round;
     }
     // The heap can only reclaim deep tombstones through compaction;
     // the calendar's bucket-head pruning alone keeps this workload at
     // a handful of physical entries (the bound above proves it).
-    if (kind == QueueKind::kHeap) {
+    if (is_heap) {
       EXPECT_GT(queue.purges(), 0u);
     }
-  }
+  });
 }
 
 TEST(EventQueueChurn, MassCancellationIsSweptPromptly) {
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
+  for_each_queue([](auto& queue, bool /*is_heap*/) {
     std::vector<EventHandle> handles;
     for (int i = 0; i < 10000; ++i) {
       handles.push_back(queue.push(static_cast<double>(i), [] {}));
@@ -192,24 +240,23 @@ TEST(EventQueueChurn, MassCancellationIsSweptPromptly) {
     EXPECT_EQ(queue.live(), 200u);
     EXPECT_LE(queue.physical_entries(), 4 * (queue.live() + 1) + 64);
     EXPECT_GT(queue.purges(), 0u);
-  }
+  });
 }
 
 TEST(CalendarQueue, EagerPurgeSweepsTombstonesBehindLiveHeads) {
   // Tombstones sitting behind a live bucket head are invisible to the
   // lazy head pruning; only the eager whole-calendar purge reclaims
   // them once they outnumber live events.
-  CalendarQueue queue;
-  std::uint64_t seq = 0;
+  EventQueue queue;
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 1000; ++i) {
-    queue.push(static_cast<double>(i), seq++, [] {});  // live head
-    doomed.push_back(queue.push(i + 0.3, seq++, [] {}));
-    doomed.push_back(queue.push(i + 0.6, seq++, [] {}));
+    queue.push(static_cast<double>(i), [] {});  // live head
+    doomed.push_back(queue.push(i + 0.3, [] {}));
+    doomed.push_back(queue.push(i + 0.6, [] {}));
   }
   for (EventHandle& h : doomed) h.cancel();
   EXPECT_EQ(queue.purges(), 0u);
-  queue.push(1000.0, seq++, [] {});  // trips the tombstones > live check
+  queue.push(1000.0, [] {});  // trips the tombstones > live check
   EXPECT_GT(queue.purges(), 0u);
   EXPECT_EQ(queue.live(), 1001u);
   EXPECT_EQ(queue.physical_entries(), 1001u);
@@ -222,12 +269,11 @@ TEST(CalendarQueue, EagerPurgeSweepsTombstonesBehindLiveHeads) {
 }
 
 TEST(CalendarQueue, BucketArrayGrowsAndShrinksWithLoad) {
-  CalendarQueue queue;
+  EventQueue queue;
   Rng rng(11);
   const std::size_t initial_buckets = queue.bucket_count();
-  std::uint64_t seq = 0;
   for (int i = 0; i < 10000; ++i) {
-    queue.push(rng.uniform(0.0, 1000.0), seq++, [] {});
+    queue.push(rng.uniform(0.0, 1000.0), [] {});
   }
   EXPECT_GT(queue.bucket_count(), initial_buckets);
   EXPECT_GT(queue.resizes(), 0u);

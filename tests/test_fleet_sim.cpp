@@ -1,39 +1,30 @@
 // Fleet-scale simulation tests: deterministic campaign-set generation,
-// thousand-campaign fingerprint stability, cross-mode equivalence
-// (calendar vs heap queue, incremental vs reference fair share), and
-// the LinkFlap failure-injection hook.
+// thousand-campaign fingerprint stability, equivalence with the
+// reference oracle in tests/oracle/ (calendar vs heap queue,
+// incremental vs full-recompute fair share, at fleet scale and flow by
+// flow on one channel), and the LinkFlap failure-injection hook.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "datagen/campaigns.hpp"
+#include "oracle/heap_queue.hpp"
+#include "oracle/reference_fair_share.hpp"
 #include "orchestrator/orchestrator.hpp"
-#include "sim/tuning.hpp"
+#include "sim/fair_share.hpp"
 
 namespace ocelot {
 namespace {
 
-/// Restores the global reference-fair-share flag on scope exit so a
-/// failing test cannot leak mode state into later tests.
-class ReferenceModeGuard {
- public:
-  explicit ReferenceModeGuard(bool value) : saved_(sim::reference_fair_share()) {
-    sim::set_reference_fair_share(value);
-  }
-  ~ReferenceModeGuard() { sim::set_reference_fair_share(saved_); }
-
- private:
-  bool saved_;
-};
-
 OrchestratorReport run_fleet(std::size_t count, std::uint64_t seed,
-                             sim::QueueKind kind) {
+                             sim::EngineSeam seam = {}) {
   CampaignSetConfig config;
   config.count = count;
   config.seed = seed;
   OrchestratorOptions options = fleet_pool_options();
-  options.queue_kind = kind;
+  options.seam = seam;
   Orchestrator orch(std::move(options));
   for (CampaignSpec& spec : generate_campaign_set(config)) {
     orch.add_campaign(std::move(spec));
@@ -96,27 +87,25 @@ TEST(CampaignGenerator, CorridorProfilePinsTheRoute) {
 }
 
 TEST(FleetSim, ThousandCampaignsAreDeterministic) {
-  const auto first = run_fleet(1000, 42, sim::QueueKind::kCalendar);
-  const auto second = run_fleet(1000, 42, sim::QueueKind::kCalendar);
+  const auto first = run_fleet(1000, 42);
+  const auto second = run_fleet(1000, 42);
   ASSERT_EQ(first.campaigns.size(), 1000u);
   EXPECT_EQ(fingerprint(first), fingerprint(second));
   EXPECT_EQ(to_string(first), to_string(second));
 }
 
 TEST(FleetSim, CalendarQueueMatchesHeapAtScale) {
-  const auto calendar = run_fleet(300, 9, sim::QueueKind::kCalendar);
-  const auto heap = run_fleet(300, 9, sim::QueueKind::kHeap);
+  const auto calendar = run_fleet(300, 9);
+  const auto heap = run_fleet(300, 9, {sim::oracle::make_heap_queue});
   EXPECT_EQ(to_string(calendar), to_string(heap));
 }
 
 TEST(FleetSim, IncrementalFairShareMatchesReference) {
-  const auto incremental = run_fleet(300, 13, sim::QueueKind::kCalendar);
-  std::string reference_rendering;
-  {
-    ReferenceModeGuard guard(true);
-    reference_rendering = to_string(run_fleet(300, 13, sim::QueueKind::kHeap));
-  }
-  EXPECT_EQ(to_string(incremental), reference_rendering);
+  const auto incremental = run_fleet(300, 13);
+  const auto reference =
+      run_fleet(300, 13, {sim::oracle::make_heap_queue,
+                          sim::oracle::make_reference_channel});
+  EXPECT_EQ(to_string(incremental), to_string(reference));
 }
 
 TEST(FleetSim, LinkFlapSlowsTransfersDeterministically) {
@@ -173,6 +162,117 @@ TEST(FleetSim, LinkFlapInjectorReportsTransitions) {
   EXPECT_GT(orch.link_flaps()[0]->flaps(), 0u);
   // The injector must have shut itself down so the queue drained.
   EXPECT_FALSE(orch.link_flaps()[0]->degraded());
+}
+
+/// One side of the channel differential: a channel on its own engine,
+/// plus the completion log its callbacks write.
+struct ChannelRig {
+  sim::Engine engine;
+  std::unique_ptr<sim::FlowChannel> channel;
+  std::vector<std::pair<sim::FlowChannel::FlowId, double>> completions;
+  sim::FlowChannel::FlowId next_id = 0;
+
+  template <class Channel>
+  static std::unique_ptr<ChannelRig> make(double capacity) {
+    auto rig = std::make_unique<ChannelRig>();
+    rig->channel = std::make_unique<Channel>(rig->engine, "wan", capacity);
+    return rig;
+  }
+
+  sim::FlowChannel::FlowId open(double demand, double work) {
+    const sim::FlowChannel::FlowId id = next_id++;
+    const sim::FlowChannel::FlowId got =
+        channel->open_flow(demand, work, [this, id] {
+          completions.emplace_back(id, engine.now());
+        });
+    EXPECT_EQ(got, id);
+    return got;
+  }
+};
+
+/// Every flow's observable state must match bit for bit.
+void expect_same_flows(const ChannelRig& prod, const ChannelRig& ref,
+                       const std::vector<double>& works, std::size_t step) {
+  const double now = prod.engine.now();
+  for (sim::FlowChannel::FlowId id = 0; id < works.size(); ++id) {
+    ASSERT_EQ(prod.channel->flow_active(id), ref.channel->flow_active(id))
+        << "step " << step << " flow " << id;
+    ASSERT_EQ(prod.channel->progress_at(id, now),
+              ref.channel->progress_at(id, now))
+        << "step " << step << " flow " << id;
+    for (const double share : {0.25, 0.5, 1.0}) {
+      const double s = share * works[id];
+      ASSERT_EQ(prod.channel->delivery_time(id, s),
+                ref.channel->delivery_time(id, s))
+          << "step " << step << " flow " << id << " share " << share;
+    }
+  }
+}
+
+TEST(FairShareDifferential, ChannelMatchesReferenceFlowByFlow) {
+  constexpr double kCapacity = 100.0;
+  for (const std::uint64_t seed : {3ull, 17ull, 2024ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto prod = ChannelRig::make<sim::FairShareChannel>(kCapacity);
+    auto ref =
+        ChannelRig::make<sim::oracle::ReferenceFairShareChannel>(kCapacity);
+    Rng rng(seed);
+    std::vector<double> works;
+    double now = 0.0;
+    bool degraded = false;
+    for (std::size_t step = 0; step < 300; ++step) {
+      // A third of the steps act at the same timestamp as the last.
+      if (rng.uniform() > 0.33) now += rng.uniform(0.0, 4.0);
+      prod->engine.run_until(now);
+      ref->engine.run_until(now);
+      const double action = rng.uniform();
+      if (action < 0.5) {
+        const double demand = rng.uniform(1.0, 200.0);
+        const double work =
+            rng.uniform() < 0.05 ? 0.0 : rng.uniform(0.0, 30.0);
+        prod->open(demand, work);
+        ref->open(demand, work);
+        works.push_back(work);
+      } else if (action < 0.65) {
+        // A same-timestamp burst of arrivals.
+        const int burst = static_cast<int>(rng.uniform_int(2, 6));
+        for (int i = 0; i < burst; ++i) {
+          const double demand = rng.uniform(1.0, 200.0);
+          const double work = rng.uniform(0.5, 20.0);
+          prod->open(demand, work);
+          ref->open(demand, work);
+          works.push_back(work);
+        }
+      } else if (action < 0.85) {
+        if (works.empty()) continue;
+        const auto id = static_cast<sim::FlowChannel::FlowId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(works.size()) - 1));
+        prod->channel->cancel_flow(id);
+        ref->channel->cancel_flow(id);
+      } else {
+        degraded = !degraded;
+        const double capacity =
+            degraded ? kCapacity * rng.uniform(0.05, 0.9) : kCapacity;
+        prod->channel->set_capacity(capacity);
+        ref->channel->set_capacity(capacity);
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_flows(*prod, *ref, works, step));
+    }
+    prod->engine.run();
+    ref->engine.run();
+    EXPECT_EQ(prod->engine.now(), ref->engine.now());
+    EXPECT_EQ(prod->completions, ref->completions);
+    ASSERT_NO_FATAL_FAILURE(expect_same_flows(*prod, *ref, works, 300));
+    const sim::ChannelStats& a = prod->channel->stats();
+    const sim::ChannelStats& b = ref->channel->stats();
+    EXPECT_EQ(a.units_delivered, b.units_delivered);
+    EXPECT_EQ(a.busy_seconds, b.busy_seconds);
+    EXPECT_EQ(a.flow_seconds, b.flow_seconds);
+    EXPECT_EQ(a.peak_flows, b.peak_flows);
+    EXPECT_EQ(a.flows_opened, b.flows_opened);
+    EXPECT_EQ(a.flows_completed, b.flows_completed);
+    EXPECT_EQ(a.flows_cancelled, b.flows_cancelled);
+  }
 }
 
 }  // namespace

@@ -56,7 +56,6 @@
 #include "core/workload.hpp"
 #include "datagen/campaigns.hpp"
 #include "datagen/datasets.hpp"
-#include "sim/tuning.hpp"
 #include "exec/parallel_codec.hpp"
 #include "io/block_container.hpp"
 #include "io/dataset_file.hpp"
@@ -772,7 +771,6 @@ CampaignSpec parse_campaign(const std::string& arg) {
 /// campaigns the per-campaign baseline is the scaling bench's job).
 int cmd_simulate_fleet(const std::vector<std::string>& args) {
   CampaignSetConfig config;
-  OrchestratorOptions options = fleet_pool_options();
   bool flap = false;
   for (const std::string& arg : args) {
     const auto eq = arg.find('=');
@@ -791,23 +789,6 @@ int cmd_simulate_fleet(const std::vector<std::string>& args) {
       config.profile = value;
     } else if (key == "stride") {
       config.inventory_stride = std::stoul(value);
-    } else if (key == "queue") {
-      if (value == "heap") {
-        options.queue_kind = sim::QueueKind::kHeap;
-      } else if (value == "calendar") {
-        options.queue_kind = sim::QueueKind::kCalendar;
-      } else {
-        throw InvalidArgument("queue must be calendar|heap, got " + value);
-      }
-    } else if (key == "fairshare") {
-      if (value == "reference") {
-        sim::set_reference_fair_share(true);
-      } else if (value == "incremental") {
-        sim::set_reference_fair_share(false);
-      } else {
-        throw InvalidArgument(
-            "fairshare must be incremental|reference, got " + value);
-      }
     } else if (key == "flap") {
       if (value != "0" && value != "1")
         throw InvalidArgument("bad flap value: " + value + " (expected 0|1)");
@@ -818,7 +799,7 @@ int cmd_simulate_fleet(const std::vector<std::string>& args) {
   }
 
   std::vector<CampaignSpec> specs = generate_campaign_set(config);
-  Orchestrator orch(options);
+  Orchestrator orch(fleet_pool_options());
   for (CampaignSpec& spec : specs) orch.add_campaign(std::move(spec));
   if (flap) {
     sim::LinkFlapConfig flap_config;
@@ -834,12 +815,7 @@ int cmd_simulate_fleet(const std::vector<std::string>& args) {
   const double wall = timer.seconds();
 
   std::cout << "fleet " << report.campaigns.size() << " campaigns seed "
-            << config.seed << " profile " << config.profile << " queue "
-            << (options.queue_kind == sim::QueueKind::kHeap ? "heap"
-                                                            : "calendar")
-            << " fairshare "
-            << (sim::reference_fair_share() ? "reference" : "incremental")
-            << "\n";
+            << config.seed << " profile " << config.profile << "\n";
   std::cout << "makespan " << fmt_seconds(report.makespan) << ", "
             << report.events_executed << " events\n";
   // Wall-clock timing goes to stderr: stdout of the same invocation
@@ -904,9 +880,7 @@ int cmd_simulate(const std::vector<std::string>& raw_args) {
            "[,mode=np|cp|op][,at=0][,prio=0][,ratio=10][,nodes=16]"
            "[,adaptive=1] ...\n"
         << "       ocelot simulate campaigns=N [seed=42] [window=120]"
-           " [profile=corridor|mixed] [stride=16]"
-           " [queue=calendar|heap] [fairshare=incremental|reference]"
-           " [flap=0|1]\n"
+           " [profile=corridor|mixed] [stride=16] [flap=0|1]\n"
         << "Runs the campaigns concurrently over shared links, node\n"
         << "pools and funcX endpoints, then compares against isolated\n"
         << "runs of the same campaigns.\n"
